@@ -47,7 +47,7 @@ pub mod resources;
 pub mod rules;
 pub mod switch;
 
-pub use batch::{BatchOutput, DEFAULT_BATCH_LANES};
+pub use batch::BatchOutput;
 pub use exec::{ExecPlan, ExecScratch};
 pub use init::InitTable;
 pub use layout::{Layout, LayoutKind, ModuleAddr, ModuleKind};
@@ -59,5 +59,5 @@ pub use rules::{
     SaluOp,
 };
 pub use switch::{
-    BatchSchedule, PipelineConfig, PipelineOutput, SliceInfo, StageUtilization, Switch, SwitchError,
+    PipelineConfig, PipelineOutput, SliceInfo, StageUtilization, Switch, SwitchError,
 };

@@ -10,13 +10,13 @@
 //! between Newton hops and stripping it before host delivery.
 
 pub mod events;
-pub mod parallel;
 pub mod routing;
 pub mod sim;
 pub mod topology;
 
 pub use events::{AdvanceOutcome, EventSchedule, NetworkEvent};
-pub use parallel::{effective_parallelism, Parallelism, PoolMetrics, WorkerPool};
-pub use routing::{EcmpMode, PathTable, RouteScratch, Router, ShardScratch};
+pub use routing::{EcmpMode, RouteScratch, Router};
+#[doc(hidden)]
+pub use sim::effective_parallelism;
 pub use sim::{BatchDelivery, DeliveryResult, LinkKey, LinkLoad, Network};
 pub use topology::{NodeId, Topology};

@@ -177,6 +177,9 @@ pub enum ErrorKind {
     Switch,
     /// The query id is not installed.
     UnknownQuery,
+    /// An injected event names a switch or link endpoint outside the
+    /// topology.
+    UnknownNode,
     /// Retune threshold exceeds the 32-bit register range.
     ThresholdOutOfRange,
     /// An update's new definition was rejected; the old query was
@@ -196,6 +199,7 @@ impl ErrorKind {
             ErrorKind::SlotsExhausted => "slots_exhausted",
             ErrorKind::Switch => "switch",
             ErrorKind::UnknownQuery => "unknown_query",
+            ErrorKind::UnknownNode => "unknown_node",
             ErrorKind::ThresholdOutOfRange => "threshold_out_of_range",
             ErrorKind::Rejected => "rejected",
             ErrorKind::Unavailable => "unavailable",

@@ -21,7 +21,7 @@ use newton::compiler::CompilerConfig;
 use newton::controller::{InstallError, InstallReceipt, RepairOutcome, RetuneError, UpdateError};
 use newton::dataplane::PipelineConfig;
 use newton::metrics::{self, Counter, Gauge, MaxGauge, MetricsRegistry};
-use newton::net::Topology;
+use newton::net::{NetworkEvent, Topology};
 use newton::query::{parse_query, validate};
 use newton::telemetry::QueryId;
 use newton::trace::{ReplayOptions, StreamConfig};
@@ -488,6 +488,7 @@ fn handle(core: &mut Core, op: &Op) -> Result<Value, OpError> {
         }
         Op::List => Ok(list_result(core)),
         Op::Inject { event } => {
+            check_nodes(core.sys.network().topology().len(), event)?;
             let outcome = core.sys.inject_event(*event);
             Ok(json::obj(vec![
                 ("fired", json::num(outcome.fired as f64)),
@@ -537,6 +538,22 @@ fn handle(core: &mut Core, op: &Op) -> Result<Value, OpError> {
         Op::Shutdown => Ok(json::obj(vec![("stopping", Value::Bool(true))])),
         // Subscribe is intercepted by the core loop (it needs the sink).
         Op::Subscribe => unreachable!("subscribe handled by the core loop"),
+    }
+}
+
+/// Reject an event naming a node id outside the topology before it
+/// reaches the network, which indexes switch state by node id.
+fn check_nodes(nodes: usize, event: &NetworkEvent) -> Result<(), OpError> {
+    let ids = match *event {
+        NetworkEvent::FailSwitch { s } | NetworkEvent::RestoreSwitch { s } => [s, s],
+        NetworkEvent::FailLink { a, b } | NetworkEvent::RestoreLink { a, b } => [a, b],
+    };
+    match ids.into_iter().find(|&id| id >= nodes) {
+        Some(id) => Err((
+            ErrorKind::UnknownNode,
+            format!("node {id} is not in the topology (nodes 0..{nodes})"),
+        )),
+        None => Ok(()),
     }
 }
 

@@ -2,7 +2,7 @@
 //! operator would — textual intents over the socket — then break the
 //! network and watch the repair surface on a subscription stream.
 
-use newtond::json::Value;
+use newtond::json::{self, Value};
 use newtond::{Client, Daemon, DaemonConfig, ErrorKind};
 use std::time::Duration;
 
@@ -387,6 +387,32 @@ fn update_round_trips_structured_errors_and_keeps_ids_stable() {
     let queries = list.get("queries").unwrap().as_array().unwrap();
     assert_eq!(queries.len(), 1);
     assert_eq!(queries[0].get("name").unwrap().as_str(), Some("web_conn_burst_v2"));
+
+    ctl.shutdown().expect("shutdown");
+    daemon.join();
+}
+
+#[test]
+fn unknown_node_ids_are_rejected_and_the_daemon_keeps_serving() {
+    let daemon = test_daemon();
+    let addr = daemon.addr().to_string();
+    let mut ctl = Client::connect(&addr, TIMEOUT).expect("connect");
+
+    // chain:4 has nodes 0..4: switch 99 does not exist.
+    let err = ctl.fail_switch(99).expect_err("failing a switch outside the topology");
+    assert!(err.is_kind(ErrorKind::UnknownNode), "got {err}");
+    let err = ctl
+        .request(
+            "inject",
+            vec![("event", json::str("fail_link")), ("a", json::num(0)), ("b", json::num(4))],
+        )
+        .expect_err("a link endpoint outside the topology");
+    assert!(err.is_kind(ErrorKind::UnknownNode), "got {err}");
+
+    // The core thread survived: later requests still answer.
+    ctl.ping().expect("ping after the rejected inject");
+    let outcome = ctl.fail_switch(1).expect("a valid switch still fails");
+    assert_eq!(u64_field(&outcome, "fired"), 1);
 
     ctl.shutdown().expect("shutdown");
     daemon.join();

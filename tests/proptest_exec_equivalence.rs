@@ -10,17 +10,13 @@
 //!    arbitrary batch sizes (remainder chunks included), with mixed
 //!    drop/mirror/resume lanes and through the CQE snapshot path.
 //! 2. `Network::deliver_batch` ≡ sequential `Network::deliver`: same
-//!    reports, same snapshot bytes, same per-link load counters.
-//! 3. `Network::deliver_batch_parallel` ≡ `Network::deliver_batch` at any
-//!    thread count (1, 2, 4, 8), for whole and CQE-sliced installs — with
-//!    (2), the parallel executor is transitively bit-identical to the
-//!    per-packet path. A second batch on the same network re-checks the
-//!    property through the *reused* persistent worker pool and scratch
-//!    buffers. The full system loop is likewise invariant in
-//!    [`Parallelism`](newton::net::Parallelism).
+//!    reports, same snapshot bytes, same per-link load counters, for whole
+//!    and CQE-sliced installs. A second batch on the same network
+//!    re-checks the property through the *reused* scratch buffers. The
+//!    full system loop is likewise reproducible run to run.
 
 use newton::compiler::{compile, compile_sliced, CompilerConfig};
-use newton::dataplane::{BatchOutput, BatchSchedule, PipelineConfig, SliceInfo, Switch};
+use newton::dataplane::{BatchOutput, PipelineConfig, SliceInfo, Switch};
 use newton::net::{Network, NodeId, Topology};
 use newton::packet::Field;
 use newton::packet::{Packet, PacketBuilder, Protocol, SnapshotHeader, TcpFlags};
@@ -202,14 +198,13 @@ proptest! {
         specs in prop::collection::vec(arb_query(), 1..3),
         stream in arb_stream(),
         batch_size in 1usize..40,
-        schedule in prop_oneof![Just(BatchSchedule::Sequential), Just(BatchSchedule::StageMajor)],
     ) {
         // The batched SoA path at arbitrary batch sizes — stream lengths
         // are rarely multiples of `batch_size`, so remainder chunks are
         // exercised constantly. Drop/mirror lanes arise from the random
-        // queries' result filters and distinct StopBranch rules. Both walk
-        // schedules must match the scalar reference bit for bit.
-        let mut planned = Switch::new(PipelineConfig { batch_schedule: schedule, ..pipeline() });
+        // queries' result filters and distinct StopBranch rules. The walk
+        // must match the scalar reference bit for bit.
+        let mut planned = Switch::new(pipeline());
         let mut reference = Switch::new(pipeline());
         let mut rulesets = Vec::new();
         for (i, spec) in specs.iter().enumerate() {
@@ -245,7 +240,6 @@ proptest! {
         stream in arb_stream(),
         budget in 2usize..5,
         batch_size in 1usize..40,
-        schedule in prop_oneof![Just(BatchSchedule::Sequential), Just(BatchSchedule::StageMajor)],
     ) {
         // CQE through the batch path: whole batches traverse the sliced
         // chain hop by hop, resume lanes carrying each packet's snapshot
@@ -254,9 +248,7 @@ proptest! {
         let sliced = compile_sliced(&build(&spec, "prop"), 1, &compiler_cfg(), budget);
         let n = sliced.slice_count();
         prop_assume!(n >= 2);
-        let mut planned: Vec<Switch> = (0..n)
-            .map(|_| Switch::new(PipelineConfig { batch_schedule: schedule, ..pipeline() }))
-            .collect();
+        let mut planned: Vec<Switch> = (0..n).map(|_| Switch::new(pipeline())).collect();
         let mut reference: Vec<Switch> = (0..n).map(|_| Switch::new(pipeline())).collect();
         for i in 0..n {
             let info = SliceInfo {
@@ -302,64 +294,6 @@ proptest! {
         stream in arb_stream(),
         topo_pick in 0usize..3,
         endpoint_seed in any::<u64>(),
-    ) {
-        let make_topo = || match topo_pick {
-            0 => Topology::chain(3),
-            1 => Topology::chain(5),
-            _ => Topology::fat_tree(4),
-        };
-        let topo = make_topo();
-        let edges = topo.edge_switches();
-        let build_net = || {
-            let mut net = Network::new(make_topo(), pipeline());
-            // Spread the queries over the edge switches.
-            for (i, spec) in specs.iter().enumerate() {
-                let compiled = compile(&build(spec, "prop"), i as u32 + 1, &compiler_cfg());
-                let sw = edges[i % edges.len()];
-                net.switch_mut(sw).install(&compiled.rules).unwrap();
-            }
-            net
-        };
-        let pick = |i: usize, salt: u64| {
-            edges[((endpoint_seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (i as u64 + salt))
-                % edges.len() as u64) as usize]
-        };
-        let triples: Vec<(&Packet, NodeId, NodeId)> = stream
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (p, pick(i, 1), pick(i, 2)))
-            .collect();
-
-        let mut seq = build_net();
-        let mut seq_reports = Vec::new();
-        let mut seq_sp = 0usize;
-        let mut seq_delivered = 0usize;
-        for &(p, ig, eg) in &triples {
-            let r = seq.deliver(p, ig, eg);
-            seq_reports.extend(r.reports);
-            seq_sp += r.snapshot_bytes;
-            seq_delivered += usize::from(r.clean_delivery);
-        }
-
-        let mut bat = build_net();
-        let out = bat.deliver_batch(&triples);
-        prop_assert_eq!(&out.reports, &seq_reports);
-        prop_assert_eq!(out.snapshot_bytes, seq_sp);
-        prop_assert_eq!(out.delivered, seq_delivered);
-        prop_assert_eq!(out.unrouted, triples.len() - seq_delivered);
-        for a in 0..seq.switch_count() {
-            for b in a + 1..seq.switch_count() {
-                prop_assert_eq!(seq.link_load(a, b), bat.link_load(a, b), "link ({}, {})", a, b);
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_batch_matches_sequential_at_any_thread_count(
-        specs in prop::collection::vec(arb_query(), 1..3),
-        stream in arb_stream(),
-        topo_pick in 0usize..3,
-        endpoint_seed in any::<u64>(),
         slice_first in any::<bool>(),
     ) {
         let make_topo = || match topo_pick {
@@ -371,7 +305,7 @@ proptest! {
         let edges = topo.edge_switches().to_vec();
         // Optionally CQE-slice the first query over the edge switches so
         // snapshot headers must flow between hops; remaining queries
-        // install whole. Equivalence must hold either way.
+        // install whole, spread over the edge switches.
         let sliced = slice_first
             .then(|| compile_sliced(&build(&specs[0], "prop"), 1, &compiler_cfg(), 3))
             .filter(|s| (2..=edges.len()).contains(&s.slice_count()));
@@ -415,44 +349,37 @@ proptest! {
             .collect();
 
         let mut seq = build_net();
-        let base = seq.deliver_batch(&triples);
-        // Second batch on the same (now stateful) network: equivalence must
-        // survive the persistent pool and scratch buffers being *reused*.
-        let base2 = seq.deliver_batch(&triples);
-        for threads in [1usize, 2, 4, 8] {
-            let mut par = build_net();
-            let out = par.deliver_batch_parallel(&triples, threads);
-            prop_assert_eq!(&out.reports, &base.reports, "reports diverged at {} threads", threads);
-            prop_assert_eq!(out.snapshot_bytes, base.snapshot_bytes, "threads={}", threads);
-            prop_assert_eq!(out.delivered, base.delivered, "threads={}", threads);
-            prop_assert_eq!(out.unrouted, base.unrouted, "threads={}", threads);
-            let out2 = par.deliver_batch_parallel(&triples, threads);
-            prop_assert_eq!(
-                &out2.reports, &base2.reports,
-                "reused-pool reports diverged at {} threads", threads
-            );
-            prop_assert_eq!(out2.snapshot_bytes, base2.snapshot_bytes, "reuse threads={}", threads);
-            prop_assert_eq!(out2.delivered, base2.delivered, "reuse threads={}", threads);
-            prop_assert_eq!(out2.unrouted, base2.unrouted, "reuse threads={}", threads);
-            for a in 0..seq.switch_count() {
-                for b in a + 1..seq.switch_count() {
-                    prop_assert_eq!(
-                        seq.link_load(a, b),
-                        par.link_load(a, b),
-                        "link ({}, {}) at {} threads", a, b, threads
-                    );
-                }
+        let mut bat = build_net();
+        // Two rounds on the same (now stateful) networks: equivalence must
+        // survive the batch path's scratch buffers being reused.
+        for round in 0..2 {
+            let mut seq_reports = Vec::new();
+            let mut seq_sp = 0usize;
+            let mut seq_delivered = 0usize;
+            for &(p, ig, eg) in &triples {
+                let r = seq.deliver(p, ig, eg);
+                seq_reports.extend(r.reports);
+                seq_sp += r.snapshot_bytes;
+                seq_delivered += usize::from(r.clean_delivery);
+            }
+            let out = bat.deliver_batch(&triples);
+            prop_assert_eq!(&out.reports, &seq_reports, "round {}", round);
+            prop_assert_eq!(out.snapshot_bytes, seq_sp, "round {}", round);
+            prop_assert_eq!(out.delivered, seq_delivered, "round {}", round);
+            prop_assert_eq!(out.unrouted, triples.len() - seq_delivered, "round {}", round);
+        }
+        for a in 0..seq.switch_count() {
+            for b in a + 1..seq.switch_count() {
+                prop_assert_eq!(seq.link_load(a, b), bat.link_load(a, b), "link ({}, {})", a, b);
             }
         }
     }
 }
 
-/// The production loop end to end: identical [`RunReport`]s — detections,
-/// packet/epoch counts, snapshot bytes — at every thread count, on a trace
-/// large enough that epochs cross the parallel-batch threshold.
+/// The production loop end to end: two fresh systems produce identical
+/// [`RunReport`]s — detections, packet/epoch counts, snapshot bytes.
 #[test]
 fn system_run_is_thread_count_invariant() {
-    use newton::net::Parallelism;
     use newton::query::catalog;
     use newton::system::NewtonSystem;
     use newton::trace::attacks::InjectSpec;
@@ -472,39 +399,36 @@ fn system_run_is_thread_count_invariant() {
         )
         .guilty;
 
-    let runs: Vec<_> = [1usize, 2, 4, 8]
-        .into_iter()
-        .map(|threads| {
+    let runs: Vec<_> = (0..2)
+        .map(|_| {
             let mut sys = NewtonSystem::new(Topology::fat_tree(4));
-            sys.set_parallelism(Parallelism::new(threads));
             let q4 = sys.install(&catalog::q4_port_scan()).unwrap();
             sys.install(&catalog::q1_new_tcp()).unwrap();
             let r = sys.run_trace(&trace, 50);
             let reported: BTreeMap<u32, BTreeSet<u64>> =
                 r.reported.iter().map(|(&id, keys)| (id, keys.iter().copied().collect())).collect();
-            (threads, q4.id, reported, r.packets, r.epochs, r.snapshot_bytes)
+            (q4.id, reported, r.packets, r.epochs, r.snapshot_bytes)
         })
         .collect();
 
-    let (_, q4, reported, packets, epochs, snapshot_bytes) = runs[0].clone();
+    let (q4, reported, packets, epochs, snapshot_bytes) = runs[0].clone();
     assert!(packets > 0 && epochs.len() >= 2);
     assert!(
         reported.get(&q4).is_some_and(|k| k.contains(&(scanner as u64))),
         "scanner {scanner:#x} not reported: {reported:?}"
     );
-    for (threads, _, rep, pk, ep, sp) in &runs[1..] {
-        assert_eq!(*rep, reported, "detections diverged at {threads} threads");
-        assert_eq!((*pk, ep, *sp), (packets, &epochs, snapshot_bytes), "at {threads} threads");
-    }
+    let (_, rep, pk, ep, sp) = &runs[1];
+    assert_eq!(*rep, reported, "detections diverged between runs");
+    assert_eq!((*pk, ep, *sp), (packets, &epochs, snapshot_bytes), "accounting diverged");
 }
 
 /// Random mid-trace dynamics — switch crashes, reboots, link cuts and
-/// restores — must leave the full system loop thread-count invariant:
-/// identical detections, unrouted counts and repair outcomes at 1, 2, 4
-/// and 8 threads, repair loop included.
+/// restores — must leave the full system loop reproducible: identical
+/// detections, unrouted counts and repair outcomes across two fresh runs,
+/// repair loop included.
 mod dynamic_equivalence {
     use super::*;
-    use newton::net::{EventSchedule, NetworkEvent, Parallelism};
+    use newton::net::{EventSchedule, NetworkEvent};
     use newton::query::catalog;
     use newton::system::NewtonSystem;
     use newton::trace::attacks::InjectSpec;
@@ -571,11 +495,9 @@ mod dynamic_equivalence {
                 &InjectSpec { intensity: 120, window_ns: 90_000_000, ..Default::default() },
             );
 
-            let runs: Vec<_> = [1usize, 2, 4, 8]
-                .into_iter()
-                .map(|threads| {
+            let runs: Vec<_> = (0..2)
+                .map(|_| {
                     let mut sys = NewtonSystem::new(make_topo());
-                    sys.set_parallelism(Parallelism::new(threads));
                     sys.set_repair(repair);
                     sys.install(&catalog::q4_port_scan()).unwrap();
                     sys.install(&catalog::q1_new_tcp()).unwrap();
@@ -587,26 +509,25 @@ mod dynamic_equivalence {
                         .iter()
                         .map(|(&id, keys)| (id, keys.iter().copied().collect()))
                         .collect();
-                    Ok((threads, reported, r))
+                    Ok((reported, r))
                 })
                 .collect::<Result<_, _>>()?;
 
-            let (_, base_reported, base) = &runs[0];
-            for (threads, reported, r) in &runs[1..] {
-                prop_assert_eq!(reported, base_reported, "detections diverged at {} threads", threads);
-                prop_assert_eq!(
-                    (r.packets, &r.epochs, r.snapshot_bytes, r.messages, r.unrouted),
-                    (base.packets, &base.epochs, base.snapshot_bytes, base.messages, base.unrouted),
-                    "traffic accounting diverged at {} threads", threads
-                );
-                prop_assert_eq!(
-                    (r.repairs, r.degraded_query_epochs, r.state_loss_events,
-                     r.repair_delay_ms.to_bits()),
-                    (base.repairs, base.degraded_query_epochs, base.state_loss_events,
-                     base.repair_delay_ms.to_bits()),
-                    "repair outcomes diverged at {} threads", threads
-                );
-            }
+            let (base_reported, base) = &runs[0];
+            let (reported, r) = &runs[1];
+            prop_assert_eq!(reported, base_reported, "detections diverged between runs");
+            prop_assert_eq!(
+                (r.packets, &r.epochs, r.snapshot_bytes, r.messages, r.unrouted),
+                (base.packets, &base.epochs, base.snapshot_bytes, base.messages, base.unrouted),
+                "traffic accounting diverged between runs"
+            );
+            prop_assert_eq!(
+                (r.repairs, r.degraded_query_epochs, r.state_loss_events,
+                 r.repair_delay_ms.to_bits()),
+                (base.repairs, base.degraded_query_epochs, base.state_loss_events,
+                 base.repair_delay_ms.to_bits()),
+                "repair outcomes diverged between runs"
+            );
         }
     }
 }
