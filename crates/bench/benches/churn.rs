@@ -19,9 +19,8 @@
 //!
 //! Reported: p50/p99 modelled per-op rule-channel latency on both paths,
 //! cumulative rule-channel bytes on both paths (and their ratio), the
-//! compilation-cache hit rate, and wall-clock ops/sec. Results merge into
-//! `BENCH_perf.json` as `churn_*` keys — run after `--bench perf`, which
-//! rewrites the file wholesale.
+//! compilation-cache hit rate, and wall-clock ops/sec. Results go to
+//! `BENCH_churn.json` as `churn_*` keys.
 //!
 //! `NEWTON_PERF_SMOKE=1` shrinks population and stream for CI and gates
 //! on the one inequality that makes diff install worth shipping: the diff
@@ -34,8 +33,9 @@ use newton::controller::Controller;
 use newton::dataplane::{PipelineConfig, QueryId};
 use newton::net::{Network, Topology};
 use newton::query::{catalog, Primitive, Query};
+use newton::telemetry::json::{num, str};
 use newton::trace::zipf::Zipf;
-use newton_bench::print_table;
+use newton_bench::{print_table, rounded, write_results};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -175,50 +175,6 @@ fn stats(run: &ChurnRun) -> (f64, f64) {
     (percentile(&s, 0.50), percentile(&s, 0.99))
 }
 
-/// Merge the churn keys into `BENCH_perf.json` if `--bench perf` wrote it
-/// (insert before the final brace), else write a standalone object.
-#[allow(clippy::too_many_arguments)]
-fn write_json(
-    pop: usize,
-    ops: usize,
-    diff: &ChurnRun,
-    scratch: &ChurnRun,
-    d50: f64,
-    d99: f64,
-    s50: f64,
-    s99: f64,
-) {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_perf.json");
-    let keys = format!(
-        "  \"churn_workload\": \"fat_tree(4), {pop} renamed Q1-Q9 structures, {ops} \
-         Zipf(1.1) update/retune/cycle ops\",\n  \
-         \"churn_install_p50_ms\": {d50:.3},\n  \
-         \"churn_install_p99_ms\": {d99:.3},\n  \
-         \"churn_scratch_p50_ms\": {s50:.3},\n  \
-         \"churn_scratch_p99_ms\": {s99:.3},\n  \
-         \"churn_diff_bytes\": {},\n  \
-         \"churn_scratch_bytes\": {},\n  \
-         \"churn_bytes_ratio\": {:.4},\n  \
-         \"churn_cache_hit_rate\": {:.4},\n  \
-         \"churn_ops_per_sec\": {:.0}\n",
-        diff.bytes,
-        scratch.bytes,
-        diff.bytes as f64 / scratch.bytes as f64,
-        diff.cache_hit_rate,
-        diff.ops_per_sec,
-    );
-    let json = match std::fs::read_to_string(path) {
-        Ok(existing) if existing.trim_end().ends_with('}') => {
-            let head = existing.trim_end();
-            let head = head[..head.len() - 1].trim_end().trim_end_matches(',');
-            format!("{head},\n{keys}}}\n")
-        }
-        _ => format!("{{\n{keys}}}\n"),
-    };
-    std::fs::write(path, json).expect("write BENCH_perf.json");
-    println!("\nwrote churn_* keys to {path}");
-}
-
 fn main() {
     let smoke = std::env::var_os("NEWTON_PERF_SMOKE").is_some();
     let (pop_n, ops_n) = if smoke { (64, 200) } else { (512, 2_000) };
@@ -269,8 +225,28 @@ fn main() {
     );
 
     if smoke {
-        println!("\nsmoke mode: churn gate passed, skipping BENCH_perf.json");
+        println!("\nsmoke mode: churn gate passed, skipping BENCH_churn.json");
         return;
     }
-    write_json(pop_n, ops_n, &diff, &scratch, d50, d99, s50, s99);
+    write_results(
+        "churn",
+        vec![
+            (
+                "churn_workload",
+                str(format!(
+                    "fat_tree(4), {pop_n} renamed Q1-Q9 structures, {ops_n} Zipf(1.1) \
+                     update/retune/cycle ops"
+                )),
+            ),
+            ("churn_install_p50_ms", rounded(d50, 3)),
+            ("churn_install_p99_ms", rounded(d99, 3)),
+            ("churn_scratch_p50_ms", rounded(s50, 3)),
+            ("churn_scratch_p99_ms", rounded(s99, 3)),
+            ("churn_diff_bytes", num(diff.bytes as f64)),
+            ("churn_scratch_bytes", num(scratch.bytes as f64)),
+            ("churn_bytes_ratio", rounded(ratio, 4)),
+            ("churn_cache_hit_rate", rounded(diff.cache_hit_rate, 4)),
+            ("churn_ops_per_sec", rounded(diff.ops_per_sec, 0)),
+        ],
+    );
 }

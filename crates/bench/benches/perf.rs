@@ -34,9 +34,10 @@ use newton::metrics::MetricsRegistry;
 use newton::net::{Network, NodeId, Topology};
 use newton::packet::{Packet, SnapshotHeader};
 use newton::query::catalog;
+use newton::telemetry::json::{num, obj, str, Value};
 use newton::telemetry::{NoopSink, Recorder};
 use newton::NewtonSystem;
-use newton_bench::{evaluation_traces, peak_rss_json, print_table};
+use newton_bench::{evaluation_traces, peak_rss_bytes, print_table, rounded, write_results};
 
 /// Timed passes over the trace; small enough to keep the bench under a
 /// minute, large enough that per-packet costs dominate setup.
@@ -409,45 +410,57 @@ fn main() {
         return;
     }
 
-    let sweep_json = batch_sweep
+    let batch_sweep = batch_sweep
         .iter()
-        .map(|&(lanes, rate)| format!("    {{ \"lanes\": {lanes}, \"pkts_per_sec\": {rate:.0} }}"))
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let json = format!(
-        "{{\n  \"workload\": \"Q1-Q9, CAIDA-like trace, {} packets\",\n  \
-         \"timing\": \"fastest of {delivery_reps} passes after 1 warm-up pass\",\n  \
-         \"pipeline_reference_pkts_per_sec\": {ref_rate:.0},\n  \
-         \"pipeline_execplan_pkts_per_sec\": {plan_rate:.0},\n  \
-         \"pipeline_speedup\": {pipeline_speedup:.3},\n  \
-         \"pipeline_batch_pkts_per_sec\": {batch_rate_default:.0},\n  \
-         \"pipeline_batch_speedup_vs_execplan\": {batch_ratio:.3},\n  \
-         \"batch_lanes\": {BATCH_LANES},\n  \
-         \"batch_lanes_rationale\": \"sweep is flat within noise from 32 lanes up (the \
-         walk is compute-bound on an L1-resident working set); 64 amortizes per-call \
-         overhead fully\",\n  \
-         \"batch_note\": \"process() shares the batch engine at batch size 1, so the \
-         per-packet path already carries the engine speedup; the batch call's edge is \
-         amortized per-call overhead only (~5-10%)\",\n  \
-         \"batch_sweep\": [\n{sweep_json}\n  ],\n  \
-         \"pipeline_noop_sink_pkts_per_sec\": {noop_rate:.0},\n  \
-         \"pipeline_recorder_pkts_per_sec\": {recorder_rate:.0},\n  \
-         \"delivery_sequential_pkts_per_sec\": {seq_rate:.0},\n  \
-         \"delivery_batch_pkts_per_sec\": {batch_rate:.0},\n  \
-         \"delivery_speedup\": {delivery_speedup:.3},\n  \
-         \"delivery_note\": \"deliver_batch is the per-packet walk of deliver minus its \
-         per-call allocations, so the two rates differ by allocation cost only\",\n  \
-         \"pipeline_metrics_workload\": \"NewtonSystem::run_trace, Q1-Q9 network-wide on \
-         fat_tree(4), {EPOCH_MS} ms epochs\",\n  \
-         \"pipeline_metrics_plain_pkts_per_sec\": {plain_rate:.0},\n  \
-         \"pipeline_metrics_pkts_per_sec\": {metrics_rate:.0},\n  \
-         \"pipeline_metrics_ratio_vs_plain\": {metrics_ratio:.3},\n  \
-         \"peak_rss_bytes\": {},\n  \
-         \"benched_on_cores\": {cores}\n}}\n",
-        packets.len(),
-        peak_rss_json(),
+        .map(|&(lanes, rate)| {
+            obj(vec![("lanes", num(lanes as f64)), ("pkts_per_sec", rounded(rate, 0))])
+        })
+        .collect();
+    write_results(
+        "perf",
+        vec![
+            ("workload", str(format!("Q1-Q9, CAIDA-like trace, {} packets", packets.len()))),
+            ("timing", str(format!("fastest of {delivery_reps} passes after 1 warm-up pass"))),
+            ("pipeline_reference_pkts_per_sec", rounded(ref_rate, 0)),
+            ("pipeline_execplan_pkts_per_sec", rounded(plan_rate, 0)),
+            ("pipeline_speedup", rounded(pipeline_speedup, 3)),
+            ("pipeline_batch_pkts_per_sec", rounded(batch_rate_default, 0)),
+            ("pipeline_batch_speedup_vs_execplan", rounded(batch_ratio, 3)),
+            ("batch_lanes", num(BATCH_LANES as f64)),
+            (
+                "batch_lanes_rationale",
+                str("sweep is flat within noise from 32 lanes up (the walk is compute-bound \
+                     on an L1-resident working set); 64 amortizes per-call overhead fully"),
+            ),
+            (
+                "batch_note",
+                str("process() shares the batch engine at batch size 1, so the per-packet \
+                     path already carries the engine speedup; the batch call's edge is \
+                     amortized per-call overhead only (~5-10%)"),
+            ),
+            ("batch_sweep", Value::Arr(batch_sweep)),
+            ("pipeline_noop_sink_pkts_per_sec", rounded(noop_rate, 0)),
+            ("pipeline_recorder_pkts_per_sec", rounded(recorder_rate, 0)),
+            ("delivery_sequential_pkts_per_sec", rounded(seq_rate, 0)),
+            ("delivery_batch_pkts_per_sec", rounded(batch_rate, 0)),
+            ("delivery_speedup", rounded(delivery_speedup, 3)),
+            (
+                "delivery_note",
+                str("deliver_batch is the per-packet walk of deliver minus its per-call \
+                     allocations, so the two rates differ by allocation cost only"),
+            ),
+            (
+                "pipeline_metrics_workload",
+                str(format!(
+                    "NewtonSystem::run_trace, Q1-Q9 network-wide on fat_tree(4), \
+                     {EPOCH_MS} ms epochs"
+                )),
+            ),
+            ("pipeline_metrics_plain_pkts_per_sec", rounded(plain_rate, 0)),
+            ("pipeline_metrics_pkts_per_sec", rounded(metrics_rate, 0)),
+            ("pipeline_metrics_ratio_vs_plain", rounded(metrics_ratio, 3)),
+            ("peak_rss_bytes", peak_rss_bytes().map_or(Value::Null, |b| num(b as f64))),
+            ("benched_on_cores", num(cores as f64)),
+        ],
     );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_perf.json");
-    std::fs::write(out, &json).expect("write BENCH_perf.json");
-    println!("\nwrote {out}");
 }

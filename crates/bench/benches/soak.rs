@@ -25,9 +25,8 @@
 //! *different* workload (one query per edge switch; the soak installs
 //! the full Q1–Q9 catalog network-wide via the controller, several
 //! times the per-packet execution work), so the in-bench baseline is
-//! the apples-to-apples number. Results merge into `BENCH_perf.json`
-//! as `soak_*` keys — run this bench *after* `--bench perf`, which
-//! rewrites the file wholesale.
+//! the apples-to-apples number. Results go to `BENCH_soak.json` as
+//! `soak_*` keys.
 //!
 //! `NEWTON_PERF_SMOKE=1` shrinks the run for CI: ≥10⁶ packets at queue
 //! depth 2 (a nearly-full queue exercises backpressure), RSS flatness
@@ -45,10 +44,11 @@ use newton::dataplane::PipelineConfig;
 use newton::metrics::MetricsRegistry;
 use newton::net::Topology;
 use newton::query::catalog;
+use newton::telemetry::json::{num, str};
 use newton::trace::stream::{PulseSpec, ReplayOptions, StreamConfig};
 use newton::trace::{AttackKind, TraceConfig};
 use newton::{NewtonSystem, RunReport};
-use newton_bench::{peak_rss_bytes, print_table};
+use newton_bench::{peak_rss_bytes, print_table, rounded, write_results};
 
 /// Packets per generated segment; with [`EPOCH_MS`] equal to the segment
 /// length, one segment is one epoch window.
@@ -199,38 +199,6 @@ fn fmt_mib(b: u64) -> String {
     format!("{:.1} MiB", b as f64 / (1 << 20) as f64)
 }
 
-/// Merge the soak keys into `BENCH_perf.json` if `--bench perf` wrote it
-/// (insert before the final brace), else write a standalone object.
-fn write_json(packets: u64, rate: f64, hwm: u64, small_hwm: u64, seq: f64, recycle_rate: f64) {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_perf.json");
-    let keys = format!(
-        "  \"soak_workload\": \"Q1-Q9 network-wide, streamed {SEGMENT_PACKETS}-packet/\
-         {EPOCH_MS}ms segments, epoch retention {EPOCH_RETENTION}\",\n  \
-         \"soak_packets\": {packets},\n  \
-         \"soak_pkts_per_sec\": {rate:.0},\n  \
-         \"soak_peak_rss_bytes\": {hwm},\n  \
-         \"soak_rss_note\": \"process_peak_rss_bytes gauge, polled every 50ms during the \
-         run (not a single end-of-run read)\",\n  \
-         \"soak_small_run_rss_bytes\": {small_hwm},\n  \
-         \"soak_rss_ratio\": {:.3},\n  \
-         \"soak_recycle_hit_rate\": {recycle_rate:.4},\n  \
-         \"soak_delivery_sequential_pkts_per_sec\": {seq:.0},\n  \
-         \"soak_vs_sequential\": {:.3}\n",
-        hwm as f64 / small_hwm as f64,
-        rate / seq,
-    );
-    let json = match std::fs::read_to_string(path) {
-        Ok(existing) if existing.trim_end().ends_with('}') => {
-            let head = existing.trim_end();
-            let head = head[..head.len() - 1].trim_end().trim_end_matches(',');
-            format!("{head},\n{keys}}}\n")
-        }
-        _ => format!("{{\n{keys}}}\n"),
-    };
-    std::fs::write(path, json).expect("write BENCH_perf.json");
-    println!("\nwrote soak_* keys to {path}");
-}
-
 fn main() {
     let smoke = std::env::var_os("NEWTON_PERF_SMOKE").is_some();
     let total: u64 = std::env::var("NEWTON_SOAK_PACKETS")
@@ -341,8 +309,32 @@ fn main() {
     );
 
     if smoke {
-        println!("\nsmoke mode: soak gates passed, skipping BENCH_perf.json");
+        println!("\nsmoke mode: soak gates passed, skipping BENCH_soak.json");
         return;
     }
-    write_json(report.packets, rate, hwm, small_hwm, seq, recycle_rate);
+    write_results(
+        "soak",
+        vec![
+            (
+                "soak_workload",
+                str(format!(
+                    "Q1-Q9 network-wide, streamed {SEGMENT_PACKETS}-packet/{EPOCH_MS}ms \
+                     segments, epoch retention {EPOCH_RETENTION}"
+                )),
+            ),
+            ("soak_packets", num(report.packets as f64)),
+            ("soak_pkts_per_sec", rounded(rate, 0)),
+            ("soak_peak_rss_bytes", num(hwm as f64)),
+            (
+                "soak_rss_note",
+                str("process_peak_rss_bytes gauge, polled every 50ms during the run \
+                     (not a single end-of-run read)"),
+            ),
+            ("soak_small_run_rss_bytes", num(small_hwm as f64)),
+            ("soak_rss_ratio", rounded(rss_ratio, 3)),
+            ("soak_recycle_hit_rate", rounded(recycle_rate, 4)),
+            ("soak_delivery_sequential_pkts_per_sec", rounded(seq, 0)),
+            ("soak_vs_sequential", rounded(ratio, 3)),
+        ],
+    );
 }

@@ -6,6 +6,7 @@
 //! all; see EXPERIMENTS.md for the paper-vs-measured record.
 
 use newton::packet::Packet;
+use newton::telemetry::json::{self, Value};
 use newton::trace::attacks::InjectSpec;
 use newton::trace::{AttackKind, Trace};
 
@@ -94,10 +95,28 @@ pub fn peak_rss_bytes() -> Option<u64> {
     }
 }
 
-/// [`peak_rss_bytes`] rendered for hand-rolled JSON: the number, or
-/// `null` on platforms without the procfs interface.
-pub fn peak_rss_json() -> String {
-    peak_rss_bytes().map_or_else(|| "null".into(), |b| b.to_string())
+/// `x` rounded to `decimals` places, as a JSON number: results files
+/// carry the precision a measurement merits, not float noise.
+pub fn rounded(x: f64, decimals: i32) -> Value {
+    let scale = 10f64.powi(decimals);
+    json::num((x * scale).round() / scale)
+}
+
+/// Write one bench's results to `BENCH_<name>.json` at the repository
+/// root, replacing whatever an earlier run left there. Each bench owns
+/// its file, so re-running one bench never touches another's keys.
+pub fn write_results(name: &str, members: Vec<(&str, Value)>) {
+    let path = format!("{}/../../BENCH_{name}.json", env!("CARGO_MANIFEST_DIR"));
+    std::fs::write(&path, render_results(members)).expect("write bench results");
+    println!("\nwrote {path}");
+}
+
+/// One JSON object, one top-level member per line (diff-friendly), every
+/// member rendered by the shared JSON module.
+fn render_results(members: Vec<(&str, Value)>) -> String {
+    let lines: Vec<String> =
+        members.into_iter().map(|(k, v)| format!("  {}: {v}", json::str(k))).collect();
+    format!("{{\n{}\n}}\n", lines.join(",\n"))
 }
 
 /// Pretty format a ratio in scientific-ish notation.
@@ -135,16 +154,30 @@ mod tests {
 
     #[test]
     fn peak_rss_is_sane_on_linux() {
-        match peak_rss_bytes() {
-            // A running test process owns at least a megabyte and well
-            // under a terabyte.
-            Some(b) => {
-                assert!(b > 1 << 20, "VmHWM {b} implausibly small");
-                assert!(b < 1 << 40, "VmHWM {b} implausibly large");
-                assert_eq!(peak_rss_json(), b.to_string());
-            }
-            None => assert_eq!(peak_rss_json(), "null"),
+        // One read: VmHWM moves while sibling tests allocate. A running
+        // test process owns at least a megabyte and well under a terabyte.
+        if let Some(b) = peak_rss_bytes() {
+            assert!(b > 1 << 20, "VmHWM {b} implausibly small");
+            assert!(b < 1 << 40, "VmHWM {b} implausibly large");
         }
+    }
+
+    #[test]
+    fn results_render_one_member_per_line_and_parse_back() {
+        let text = render_results(vec![
+            ("rate", rounded(1234.5678, 0)),
+            ("ratio", rounded(0.92349, 3)),
+            ("note", json::str("a \"quoted\" note")),
+            ("sweep", Value::Arr(vec![json::obj(vec![("lanes", json::num(16))])])),
+            ("rss", Value::Null),
+        ]);
+        assert_eq!(
+            text,
+            "{\n  \"rate\": 1235,\n  \"ratio\": 0.923,\n  \"note\": \"a \\\"quoted\\\" note\",\n  \
+             \"sweep\": [{\"lanes\":16}],\n  \"rss\": null\n}\n"
+        );
+        let v = json::parse(&text).unwrap();
+        assert_eq!(v.get("ratio").and_then(Value::as_f64), Some(0.923));
     }
 
     #[test]

@@ -497,61 +497,6 @@ impl MetricsRegistry {
         }
         out
     }
-
-    /// Render the registry as one JSON object — the same shape the
-    /// `newtond` `metrics` op returns (counters, gauges, and histograms
-    /// with quantiles), hand-rolled so benches and examples can dump it
-    /// without a JSON dependency.
-    pub fn render_json(&self) -> String {
-        use std::fmt::Write as _;
-        let snap = self.snapshot();
-        let mut out = String::from("{\"counters\":{");
-        let mut first = true;
-        for m in &snap {
-            if let MetricValue::Counter(v) = m.value {
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                let _ = write!(out, "\"{}\":{v}", m.name);
-            }
-        }
-        out.push_str("},\"gauges\":{");
-        let mut first = true;
-        for m in &snap {
-            if let MetricValue::Gauge(v) = m.value {
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                let _ = write!(out, "\"{}\":{v}", m.name);
-            }
-        }
-        out.push_str("},\"histograms\":{");
-        let mut first = true;
-        for m in &snap {
-            if let MetricValue::Histogram(h) = &m.value {
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                let _ = write!(
-                    out,
-                    "\"{}\":{{\"count\":{},\"sum\":{},\"max\":{},\"p50\":{},\"p90\":{},\
-                     \"p99\":{}}}",
-                    m.name,
-                    h.count(),
-                    h.sum,
-                    h.max,
-                    h.p50(),
-                    h.p90(),
-                    h.p99()
-                );
-            }
-        }
-        out.push_str("}}");
-        out
-    }
 }
 
 /// Prometheus metric names allow `[a-zA-Z0-9_:]`; map everything else to
@@ -755,17 +700,6 @@ mod tests {
             prev = n;
         }
         assert_eq!(prev, 4);
-    }
-
-    #[test]
-    fn json_rendering_carries_quantiles() {
-        let reg = MetricsRegistry::new();
-        reg.counter("hits", "").add(2);
-        let h = reg.histogram("lat", "");
-        h.observe(64);
-        let json = reg.render_json();
-        assert!(json.contains("\"counters\":{\"hits\":2}"), "{json}");
-        assert!(json.contains("\"lat\":{\"count\":1,\"sum\":64,\"max\":64"), "{json}");
     }
 
     #[test]

@@ -15,12 +15,14 @@
 //!   per-connection threads, journal streaming to subscribers.
 //! * [`client`] — a small blocking client (used by the `--client` CLI
 //!   mode, the examples, and the integration tests).
-//! * [`json`] — the dependency-free JSON tree both sides share.
+//! * [`json`] — the dependency-free JSON tree both sides share (the
+//!   workspace's one JSON module, re-exported from `newton-telemetry`).
 
 pub mod client;
-pub mod json;
 pub mod proto;
 pub mod server;
+
+pub use newton::telemetry::json;
 
 pub use client::{Client, ClientError, StreamItem, Subscription};
 pub use proto::{ErrorKind, Op, Request};

@@ -12,7 +12,7 @@
 //!
 //! `subscribe` flips the connection into a one-way event stream: the
 //! server acknowledges, then pushes `{"stream":"journal","event":{...}}`
-//! lines (telemetry [`Event`](newton::telemetry::Event)s, same bytes as
+//! lines (telemetry [`Event`]s, same bytes as
 //! the journal's JSONL) until the client disconnects or the daemon shuts
 //! down. A streaming connection reads no further requests. A subscriber
 //! that falls behind the configured buffer loses events rather than
@@ -21,7 +21,7 @@
 
 use crate::json::{self, Value};
 use newton::net::NetworkEvent;
-use newton::telemetry::QueryId;
+use newton::telemetry::{Event, QueryId};
 use std::fmt;
 
 /// One request line, decoded.
@@ -228,8 +228,8 @@ pub fn err_line(id: u64, kind: ErrorKind, detail: &str) -> String {
 
 /// Render one journal event as a stream line (no trailing newline). The
 /// embedded event bytes are exactly what `Journal::to_jsonl` emits.
-pub fn stream_line(event_json: &str) -> String {
-    format!("{{\"stream\":\"journal\",\"event\":{event_json}}}")
+pub fn stream_line(event: &Event) -> String {
+    json::obj(vec![("stream", json::str("journal")), ("event", event.to_value())]).to_string()
 }
 
 /// Render a journal-truncation marker (no trailing newline): the daemon
@@ -237,7 +237,8 @@ pub fn stream_line(event_json: &str) -> String {
 /// the configured buffer. Delivered in-stream, before the next event the
 /// subscriber does receive, once it catches up.
 pub fn truncated_line(n: u64) -> String {
-    format!("{{\"stream\":\"journal\",\"truncated\":{n}}}")
+    json::obj(vec![("stream", json::str("journal")), ("truncated", json::num(n as f64))])
+        .to_string()
 }
 
 #[cfg(test)]

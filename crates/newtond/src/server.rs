@@ -20,7 +20,7 @@ use crate::{json, json::Value};
 use newton::compiler::CompilerConfig;
 use newton::controller::{InstallError, InstallReceipt, RepairOutcome, RetuneError, UpdateError};
 use newton::dataplane::PipelineConfig;
-use newton::metrics::{self, Counter, Gauge, MaxGauge, MetricsRegistry};
+use newton::metrics::{self, Counter, Gauge, MaxGauge, MetricValue, MetricsRegistry};
 use newton::net::{NetworkEvent, Topology};
 use newton::query::{parse_query, validate};
 use newton::telemetry::QueryId;
@@ -404,12 +404,12 @@ fn core_loop(
 /// stream for everyone else.
 fn flush_journal(core: &mut Core) {
     let Some(rec) = core.sys.recorder() else { return };
-    let events = rec.journal.events();
-    if core.flushed < events.len() {
-        let lines: Vec<String> =
-            events[core.flushed..].iter().map(|e| proto::stream_line(&e.to_json())).collect();
-        core.flushed = events.len();
-        core.dm.journal_events.add(lines.len() as u64);
+    let events = &rec.journal.events()[core.flushed..];
+    core.flushed += events.len();
+    core.dm.journal_events.add(events.len() as u64);
+    // Lines are rendered only when someone is subscribed to read them.
+    if !core.subscribers.is_empty() {
+        let lines: Vec<String> = events.iter().map(proto::stream_line).collect();
         let limit = core.cfg.subscriber_buffer.max(1);
         let dm = &core.dm;
         let before = core.subscribers.len();
@@ -527,13 +527,11 @@ fn handle(core: &mut Core, op: &Op) -> Result<Value, OpError> {
         }
         Op::Metrics { prometheus } => {
             core.dm.peak_rss.observe(metrics::peak_rss_bytes());
-            if *prometheus {
-                Ok(json::obj(vec![("prometheus", json::str(core.registry.render_prometheus()))]))
+            Ok(if *prometheus {
+                json::obj(vec![("prometheus", json::str(core.registry.render_prometheus()))])
             } else {
-                json::parse(&core.registry.render_json()).map_err(|e| {
-                    (ErrorKind::Unavailable, format!("metrics snapshot unrenderable: {e}"))
-                })
-            }
+                metrics_result(&core.registry)
+            })
         }
         Op::Shutdown => Ok(json::obj(vec![("stopping", Value::Bool(true))])),
         // Subscribe is intercepted by the core loop (it needs the sink).
@@ -580,6 +578,35 @@ fn update_error(e: UpdateError) -> OpError {
         UpdateError::UnknownQuery(_) => (ErrorKind::UnknownQuery, e.to_string()),
         UpdateError::Rejected { .. } => (ErrorKind::Rejected, e.to_string()),
     }
+}
+
+/// The registry snapshot as `{"counters":{..},"gauges":{..},
+/// "histograms":{name:{count,sum,max,p50,p90,p99}}}`, each group sorted
+/// by name.
+fn metrics_result(registry: &MetricsRegistry) -> Value {
+    let (mut counters, mut gauges, mut histograms) = (Vec::new(), Vec::new(), Vec::new());
+    for m in registry.snapshot() {
+        match m.value {
+            MetricValue::Counter(v) => counters.push((m.name, json::num(v as f64))),
+            MetricValue::Gauge(v) => gauges.push((m.name, json::num(v as f64))),
+            MetricValue::Histogram(h) => histograms.push((
+                m.name,
+                json::obj(vec![
+                    ("count", json::num(h.count() as f64)),
+                    ("sum", json::num(h.sum as f64)),
+                    ("max", json::num(h.max as f64)),
+                    ("p50", json::num(h.p50() as f64)),
+                    ("p90", json::num(h.p90() as f64)),
+                    ("p99", json::num(h.p99() as f64)),
+                ]),
+            )),
+        }
+    }
+    json::obj(vec![
+        ("counters", Value::Obj(counters)),
+        ("gauges", Value::Obj(gauges)),
+        ("histograms", Value::Obj(histograms)),
+    ])
 }
 
 fn receipt_result(core: &Core, receipt: &InstallReceipt, name: &str) -> Value {
@@ -687,4 +714,20 @@ fn report_result(core: &Core, report: &RunReport, run: u64) -> Value {
             ]),
         ),
     ])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn json_rendering_carries_quantiles() {
+        let reg = MetricsRegistry::new();
+        reg.counter("hits", "").add(2);
+        let h = reg.histogram("lat", "");
+        h.observe(64);
+        let json = metrics_result(&reg).to_string();
+        assert!(json.contains("\"counters\":{\"hits\":2}"), "{json}");
+        assert!(json.contains("\"lat\":{\"count\":1,\"sum\":64,\"max\":64"), "{json}");
+    }
 }

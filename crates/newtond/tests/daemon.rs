@@ -214,6 +214,11 @@ fn metrics_op_serves_request_histograms_and_prometheus_text() {
         metric(&m, "counters", "compile_cache_misses_total") >= 1,
         "the install compiled something"
     );
+    assert_eq!(
+        metric(&m, "counters", "daemon_journal_events_total"),
+        1,
+        "the install's journal event is counted with no subscriber attached"
+    );
 
     // The same registry in the Prometheus text format: HELP/TYPE pairs,
     // cumulative buckets, and a _count that matches the JSON view.

@@ -78,45 +78,6 @@ impl BloomFilter {
         fresh
     }
 
-    /// Batched [`insert`](Self::insert): `fresh` (cleared first) receives
-    /// each key's at-least-one-bit-flipped flag.
-    ///
-    /// Array-major schedule — each register array is walked across the
-    /// whole key batch before the next — keeping the array and its hash
-    /// seed hot. Bit-identical to the sequential loop even with duplicate
-    /// keys: per (array, word) the write order is key order under both
-    /// schedules, and a key observes each array right before its own
-    /// write there.
-    pub fn insert_many(&mut self, keys: &[u128], fresh: &mut Vec<bool>) {
-        self.inserted += keys.len() as u64;
-        fresh.clear();
-        fresh.resize(keys.len(), false);
-        for (arr, h) in self.arrays.iter_mut().zip(&self.hashes) {
-            for (f, &key) in fresh.iter_mut().zip(keys) {
-                let bit = h.hash(key);
-                let (w, b) = (bit / 32, bit % 32);
-                let word = &mut arr[w as usize];
-                if *word & (1 << b) == 0 {
-                    *f = true;
-                    *word |= 1 << b;
-                }
-            }
-        }
-    }
-
-    /// Batched [`contains`](Self::contains), array-major like
-    /// [`insert_many`](Self::insert_many); `out` is cleared first.
-    pub fn contains_many(&self, keys: &[u128], out: &mut Vec<bool>) {
-        out.clear();
-        out.resize(keys.len(), true);
-        for (arr, h) in self.arrays.iter().zip(&self.hashes) {
-            for (o, &key) in out.iter_mut().zip(keys) {
-                let bit = h.hash(key);
-                *o &= arr[(bit / 32) as usize] & (1 << (bit % 32)) != 0;
-            }
-        }
-    }
-
     /// Query membership without inserting.
     pub fn contains(&self, key: u128) -> bool {
         self.arrays.iter().zip(&self.hashes).all(|(arr, h)| {
@@ -217,24 +178,5 @@ mod tests {
     fn register_word_accounting() {
         let bf = BloomFilter::new(3, 1024, 0);
         assert_eq!(bf.register_words(), 3 * 32);
-    }
-
-    #[test]
-    fn batched_insert_matches_sequential() {
-        // Duplicates inside one batch: only the first occurrence may
-        // report fresh, exactly like the sequential loop.
-        let keys: Vec<u128> = (0..300).map(|i| (i % 73) as u128 * 0x9E37 + 5).collect();
-        let mut seq = BloomFilter::new(3, 512, 11);
-        let mut bat = BloomFilter::new(3, 512, 11);
-        let expected: Vec<bool> = keys.iter().map(|&k| seq.insert(k)).collect();
-        let mut fresh = Vec::new();
-        bat.insert_many(&keys, &mut fresh);
-        assert_eq!(fresh, expected);
-        assert_eq!(bat.inserted(), seq.inserted());
-        let probes: Vec<u128> = (0..100).map(|i| 0xF000_0000 + i as u128).collect();
-        let mut got = Vec::new();
-        bat.contains_many(&probes, &mut got);
-        let want: Vec<bool> = probes.iter().map(|&k| seq.contains(k)).collect();
-        assert_eq!(got, want);
     }
 }

@@ -66,29 +66,6 @@ impl CountMinSketch {
         est
     }
 
-    /// Batched [`update`](Self::update): add `count` to every key and
-    /// write each key's post-update estimate into `est` (cleared first).
-    ///
-    /// Row-major schedule — each row is updated across the whole key batch
-    /// before the next row — so a row's counters and hash seed stay hot
-    /// instead of being re-fetched per key. Results are bit-identical to
-    /// the sequential loop even with duplicate keys in the batch: within
-    /// any (row, counter) the update order is key order under both
-    /// schedules, and a key's estimate reads each row immediately after
-    /// its own update there.
-    pub fn update_many(&mut self, keys: &[u128], count: u32, est: &mut Vec<u32>) {
-        self.updates += keys.len() as u64;
-        est.clear();
-        est.resize(keys.len(), u32::MAX);
-        for (row, h) in self.rows.iter_mut().zip(&self.hashes) {
-            for (e, &key) in est.iter_mut().zip(keys) {
-                let idx = h.hash(key) as usize;
-                row[idx] = row[idx].saturating_add(count);
-                *e = (*e).min(row[idx]);
-            }
-        }
-    }
-
     /// Point query: the count-min estimate for a key.
     pub fn query(&self, key: u128) -> u32 {
         self.rows
@@ -97,18 +74,6 @@ impl CountMinSketch {
             .map(|(row, h)| row[h.hash(key) as usize])
             .min()
             .unwrap_or(0)
-    }
-
-    /// Batched [`query`](Self::query), row-major like
-    /// [`update_many`](Self::update_many); `out` is cleared first.
-    pub fn query_many(&self, keys: &[u128], out: &mut Vec<u32>) {
-        out.clear();
-        out.resize(keys.len(), u32::MAX);
-        for (row, h) in self.rows.iter().zip(&self.hashes) {
-            for (o, &key) in out.iter_mut().zip(keys) {
-                *o = (*o).min(row[h.hash(key) as usize]);
-            }
-        }
     }
 
     /// Reset all counters (100 ms epoch reset).
@@ -205,23 +170,5 @@ mod tests {
     #[test]
     fn register_word_accounting() {
         assert_eq!(CountMinSketch::new(3, 256, 0).register_words(), 768);
-    }
-
-    #[test]
-    fn batched_update_matches_sequential() {
-        // Duplicate-heavy batch: the row-major schedule must reproduce the
-        // sequential post-update estimates and final counters exactly.
-        let keys: Vec<u128> = (0..257).map(|i| (i % 41) as u128 * 977 + 13).collect();
-        let mut seq = CountMinSketch::new(3, 64, 7);
-        let mut bat = CountMinSketch::new(3, 64, 7);
-        let expected: Vec<u32> = keys.iter().map(|&k| seq.update(k, 2)).collect();
-        let mut est = Vec::new();
-        bat.update_many(&keys, 2, &mut est);
-        assert_eq!(est, expected);
-        assert_eq!(bat.updates(), seq.updates());
-        let mut queried = Vec::new();
-        bat.query_many(&keys, &mut queried);
-        let seq_q: Vec<u32> = keys.iter().map(|&k| seq.query(k)).collect();
-        assert_eq!(queried, seq_q);
     }
 }

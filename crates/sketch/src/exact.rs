@@ -24,15 +24,6 @@ impl ExactCounter {
         *e
     }
 
-    /// Batched [`update`](Self::update): add `count` to every key; the new
-    /// totals land in `totals` (cleared first). Ground-truth twin of the
-    /// sketches' batched updates, so accuracy experiments feed both sides
-    /// from the same batch.
-    pub fn update_many(&mut self, keys: &[u128], count: u64, totals: &mut Vec<u64>) {
-        totals.clear();
-        totals.extend(keys.iter().map(|&k| self.update(k, count)));
-    }
-
     pub fn query(&self, key: u128) -> u64 {
         self.counts.get(&key).copied().unwrap_or(0)
     }
@@ -74,13 +65,6 @@ impl ExactDistinct {
     /// Insert a key; returns `true` iff it was new.
     pub fn insert(&mut self, key: u128) -> bool {
         self.seen.insert(key)
-    }
-
-    /// Batched [`insert`](Self::insert): `fresh` (cleared first) receives
-    /// each key's was-new flag, duplicates within the batch included.
-    pub fn insert_many(&mut self, keys: &[u128], fresh: &mut Vec<bool>) {
-        fresh.clear();
-        fresh.extend(keys.iter().map(|&k| self.insert(k)));
     }
 
     pub fn contains(&self, key: u128) -> bool {
@@ -132,24 +116,5 @@ mod tests {
         assert_eq!(d.len(), 1);
         d.clear();
         assert!(d.is_empty());
-    }
-
-    #[test]
-    fn batched_wrappers_match_sequential() {
-        let keys: Vec<u128> = (0..100).map(|i| (i % 17) as u128 + 1).collect();
-        let mut seq_c = ExactCounter::new();
-        let mut bat_c = ExactCounter::new();
-        let want: Vec<u64> = keys.iter().map(|&k| seq_c.update(k, 3)).collect();
-        let mut totals = Vec::new();
-        bat_c.update_many(&keys, 3, &mut totals);
-        assert_eq!(totals, want);
-
-        let mut seq_d = ExactDistinct::new();
-        let mut bat_d = ExactDistinct::new();
-        let want: Vec<bool> = keys.iter().map(|&k| seq_d.insert(k)).collect();
-        let mut fresh = Vec::new();
-        bat_d.insert_many(&keys, &mut fresh);
-        assert_eq!(fresh, want);
-        assert_eq!(bat_d.len(), seq_d.len());
     }
 }

@@ -46,15 +46,6 @@ impl HashFn {
         (((h as u128) * (self.range as u128)) >> 64) as u32
     }
 
-    /// Hash a whole key batch into `out` (cleared first) — the grouped
-    /// entry point of the batch-first execution path: one function's seed
-    /// and range stay in registers across the run instead of being
-    /// re-loaded per packet. Element `i` equals `self.hash(keys[i])`.
-    pub fn hash_many(&self, keys: &[u128], out: &mut Vec<u32>) {
-        out.clear();
-        out.extend(keys.iter().map(|&k| self.hash(k)));
-    }
-
     /// Hash raw bytes (used by baseline systems hashing flow keys).
     pub fn hash_bytes(&self, bytes: &[u8]) -> u32 {
         let mut acc = self.seed ^ (bytes.len() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -209,15 +200,6 @@ mod tests {
             // Expect 1000 per bucket; allow ±25 %.
             assert!((750..1250).contains(&b), "bucket count {b} far from uniform");
         }
-    }
-
-    #[test]
-    fn hash_many_matches_scalar() {
-        let h = HashFn::new(21, 4096);
-        let keys: Vec<u128> = (0..500).map(|i| i as u128 * 0xABCD + 3).collect();
-        let mut out = vec![1, 2, 3]; // stale contents must be cleared
-        h.hash_many(&keys, &mut out);
-        assert_eq!(out, keys.iter().map(|&k| h.hash(k)).collect::<Vec<u32>>());
     }
 
     #[test]

@@ -15,10 +15,7 @@
 //! * [`exact`] — exact (hash-map) counterparts used as ground truth by the
 //!   accuracy experiments (Fig. 14).
 //!
-//! All structures are deterministic given their seeds, and each exposes
-//! batched multi-key entry points (`hash_many`, `update_many`,
-//! `insert_many`, …) that group work per table row/array for the
-//! batch-first execution path — bit-identical to their sequential loops.
+//! All structures are deterministic given their seeds.
 
 pub mod bloom;
 pub mod cms;

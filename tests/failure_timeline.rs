@@ -168,7 +168,7 @@ fn without_repair_the_query_dies_with_its_switch() {
 }
 
 #[test]
-fn failure_timeline_is_thread_count_invariant() {
+fn failure_timeline_is_reproducible() {
     // Delivery is single-threaded; two fresh runs must still agree on
     // every detection and every failure/repair counter.
     let (trace, _) = scan_every_epoch();

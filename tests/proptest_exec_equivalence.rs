@@ -379,7 +379,7 @@ proptest! {
 /// The production loop end to end: two fresh systems produce identical
 /// [`RunReport`]s — detections, packet/epoch counts, snapshot bytes.
 #[test]
-fn system_run_is_thread_count_invariant() {
+fn system_run_is_reproducible() {
     use newton::query::catalog;
     use newton::system::NewtonSystem;
     use newton::trace::attacks::InjectSpec;
@@ -475,7 +475,7 @@ mod dynamic_equivalence {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
         #[test]
-        fn system_with_dynamics_is_thread_count_invariant(
+        fn system_with_dynamics_is_reproducible(
             raw_events in arb_events(),
             topo_pick in 0usize..2,
             repair in any::<bool>(),

@@ -140,7 +140,7 @@ fn streamed_equals_materialized_under_failures() {
 /// accumulate journal state for hundreds of events, so any drift between
 /// the streamed and materialized drivers compounds and gets caught.
 #[test]
-fn soak_stream_with_repeated_failures_matches_materialized_across_threads() {
+fn soak_stream_with_repeated_failures_matches_materialized_per_pool_shape() {
     let cfg = StreamConfig {
         seed: 0x50AC,
         segments: 16,

@@ -69,7 +69,7 @@ fn journal_is_byte_identical_across_thread_counts() {
 }
 
 #[test]
-fn journal_is_byte_identical_across_threads_under_failures() {
+fn journal_is_byte_identical_across_runs_under_failures() {
     // A switch crash + reboot mid-trace: the repair loop, state-loss and
     // degraded-query events must all journal identically run to run.
     let trace = busy_trace();
@@ -89,7 +89,7 @@ fn journal_is_byte_identical_across_threads_under_failures() {
 }
 
 #[test]
-fn packet_trace_event_is_thread_count_invariant() {
+fn packet_trace_event_is_reproducible() {
     use newton::packet::{Protocol, TcpFlags};
 
     // The NEWTON_TRACE_PACKET hook (programmatic form): journal one
